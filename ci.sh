@@ -20,7 +20,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=906
+test_floor=914
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -57,7 +57,7 @@ fi
 grep -q "REFUTED" <<< "${verify_out}"
 grep -q "repro: qz run .* --solar floor" <<< "${verify_out}"
 
-echo "== qz fleet: smoke run + thread-count determinism =="
+echo "== qz fleet: smoke run + thread-count and seed-spelling determinism =="
 # A small fleet must complete, and the JSON report must be byte-identical
 # at 1 and 2 worker threads (the qz-fleet determinism contract).
 fleet_dir=$(mktemp -d)
@@ -67,6 +67,13 @@ cargo run -q --bin qz -- fleet --devices 6 --events 10 --threads 1 \
 cargo run -q --bin qz -- fleet --devices 6 --events 10 --threads 2 \
     --json "${fleet_dir}/t2.json" > /dev/null
 cmp "${fleet_dir}/t1.json" "${fleet_dir}/t2.json"
+# `--seed` takes hex here as in every other subcommand: 0x10 and 16 are
+# the same fleet.
+cargo run -q --bin qz -- fleet --devices 6 --events 10 --threads 1 \
+    --seed 0x10 --json "${fleet_dir}/seed_hex.json" > /dev/null
+cargo run -q --bin qz -- fleet --devices 6 --events 10 --threads 1 \
+    --seed 16 --json "${fleet_dir}/seed_dec.json" > /dev/null
+cmp "${fleet_dir}/seed_hex.json" "${fleet_dir}/seed_dec.json"
 
 echo "== qz fleet: cross-scheduler byte-identity at 64 devices =="
 # The event-horizon scheduler is a pure optimization of the epoch-barrier

@@ -267,7 +267,8 @@ pub struct FleetArgs {
     pub devices: usize,
     /// Events per device environment.
     pub events: usize,
-    /// Master fleet seed (per-device streams derive from it).
+    /// Master fleet seed, decimal or `0x`-prefixed hex (per-device
+    /// streams derive from it).
     pub seed: u64,
     /// System every device runs.
     pub system: BaselineKind,
@@ -911,11 +912,7 @@ fn parse_fleet(args: &[String]) -> Result<FleetArgs, ParseError> {
                     .parse()
                     .map_err(|_| err("`--events` must be a positive integer"))?;
             }
-            "--seed" => {
-                fleet.seed = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--seed` must be an integer"))?;
-            }
+            "--seed" => fleet.seed = parse_seed(&take_value(&mut i, flag)?)?,
             "--system" => fleet.system = parse_system(&take_value(&mut i, flag)?)?,
             "--device" => {
                 let d = take_value(&mut i, flag)?.to_ascii_lowercase();
@@ -1318,7 +1315,7 @@ USAGE:
                     [--events 40] [--seed N|0xN] [--segment 60] [--json]
                     [--deny-unproven] [--engine fast-forward|tick]
   qz lint-src       [--root .] [--allow-file lint-allow.txt] [--json]
-  qz fleet          [--devices 16] [--events 40] [--seed N] [--system QZ]
+  qz fleet          [--devices 16] [--events 40] [--seed N|0xN] [--system QZ]
                     [--device apollo4|msp430] [--envs more,crowded,less]
                     [--threads N] [--duty-cycle 0.1] [--slot-ms 50]
                     [--json out.json|-] [--csv out.csv|-] [--metrics]

@@ -225,6 +225,38 @@ fn fleet_json_report_is_valid() {
 }
 
 #[test]
+fn fleet_seed_accepts_hex_like_every_other_subcommand() {
+    let report = |seed: &str| {
+        let path = tmp(&format!("fleet_seed_{seed}.json"));
+        let out = qz(&[
+            "fleet",
+            "--devices",
+            "2",
+            "--events",
+            "4",
+            "--seed",
+            seed,
+            "--threads",
+            "1",
+            "--json",
+            path.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "`--seed {seed}`: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = std::fs::read(&path).expect("json written");
+        let _ = std::fs::remove_file(&path);
+        doc
+    };
+    let hex = report("0x10");
+    assert!(!hex.is_empty());
+    assert_eq!(hex, report("16"), "`--seed 0x10` and `--seed 16` differ");
+    assert_ne!(hex, report("17"), "the report must depend on the seed");
+}
+
+#[test]
 fn fault_json_report_is_valid_and_exit_code_tracks_violations() {
     let path = tmp("fault.json");
     let out = qz(&[

@@ -6,7 +6,7 @@
 //! fixed column set shared by all event kinds, leaving unused columns
 //! empty — convenient for spreadsheet and pandas post-processing.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 use crate::event::{Event, EventKind};
@@ -17,18 +17,28 @@ use crate::event::{Event, EventKind};
 /// the per-event bytes, just batched.
 const EMIT_BLOCK_EVENTS: usize = 64;
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::from("null")
+/// An `f64` as a JSON number, `null` when not finite.
+struct JsonF64(f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
-fn json_opt(v: Option<usize>) -> String {
-    match v {
-        Some(x) => format!("{x}"),
-        None => String::from("null"),
+/// An optional index as a JSON number or `null`.
+struct JsonOpt(Option<usize>);
+
+impl fmt::Display for JsonOpt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(x) => fmt::Display::fmt(&x, f),
+            None => f.write_str("null"),
+        }
     }
 }
 
@@ -58,24 +68,26 @@ pub fn event_to_json_into(s: &mut String, event: &Event) {
             p_in_w,
             candidates,
         } => {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\"job\":{job},\"expected_service_s\":{},\"correction_s\":{},\"p_in_w\":{}",
-                json_f64(*expected_service_s),
-                json_f64(*correction_s),
-                json_f64(*p_in_w)
-            ));
+                JsonF64(*expected_service_s),
+                JsonF64(*correction_s),
+                JsonF64(*p_in_w)
+            );
             s.push_str(",\"candidates\":[");
             for (i, c) in candidates.iter().enumerate() {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!(
+                let _ = write!(
+                s,
                     "{{\"job\":{},\"expected_service_s\":{},\"oldest_input_age_s\":{},\"selected\":{}}}",
                     c.job,
-                    json_f64(c.expected_service_s),
-                    json_f64(c.oldest_input_age_s),
+                    JsonF64(c.expected_service_s),
+                    JsonF64(c.oldest_input_age_s),
                     c.selected
-                ));
+                );
             }
             s.push(']');
         }
@@ -91,25 +103,27 @@ pub fn event_to_json_into(s: &mut String, event: &Event) {
             chosen_option,
             options,
         } => {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\"job\":{job},\"lambda\":{},\"occupancy\":{occupancy},\"capacity\":{capacity},\
                  \"expected_service_s\":{},\"predicted_arrivals\":{},\"ibo_predicted\":{ibo_predicted},\
                  \"unavoidable\":{unavoidable},\"chosen_option\":{chosen_option}",
-                json_f64(*lambda),
-                json_f64(*expected_service_s),
-                json_f64(*predicted_arrivals)
-            ));
+                JsonF64(*lambda),
+                JsonF64(*expected_service_s),
+                JsonF64(*predicted_arrivals)
+            );
             s.push_str(",\"options\":[");
             for (i, o) in options.iter().enumerate() {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!(
+                let _ = write!(
+                    s,
                     "{{\"option\":{},\"expected_service_s\":{},\"predicts_overflow\":{}}}",
                     o.option,
-                    json_f64(o.expected_service_s),
+                    JsonF64(o.expected_service_s),
                     o.predicts_overflow
-                ));
+                );
             }
             s.push(']');
         }
@@ -120,37 +134,37 @@ pub fn event_to_json_into(s: &mut String, event: &Event) {
             error_s,
             correction_s,
         } => {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\"job\":{job},\"predicted_s\":{},\"observed_s\":{},\"error_s\":{},\"correction_s\":{}",
-                json_f64(*predicted_s),
-                json_f64(*observed_s),
-                json_f64(*error_s),
-                json_f64(*correction_s)
-            ));
+                JsonF64(*predicted_s),
+                JsonF64(*observed_s),
+                JsonF64(*error_s),
+                JsonF64(*correction_s)
+            );
         }
         EventKind::JobComplete { job, observed_s } => {
-            s.push_str(&format!(
-                ",\"job\":{job},\"observed_s\":{}",
-                json_f64(*observed_s)
-            ));
+            let _ = write!(s, ",\"job\":{job},\"observed_s\":{}", JsonF64(*observed_s));
         }
         EventKind::JobStart {
             job,
             option,
             occupancy,
         } => {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\"job\":{job},\"option\":{option},\"occupancy\":{occupancy}"
-            ));
+            );
         }
         EventKind::BufferAdmit {
             job,
             occupancy,
             interesting,
         } => {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\"job\":{job},\"occupancy\":{occupancy},\"interesting\":{interesting}"
-            ));
+            );
         }
         EventKind::IboDiscard {
             occupancy,
@@ -158,43 +172,43 @@ pub fn event_to_json_into(s: &mut String, event: &Event) {
             device_on,
             active_option,
         } => {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\"occupancy\":{occupancy},\"interesting\":{interesting},\"device_on\":{device_on},\
                  \"active_option\":{}",
-                json_opt(*active_option)
-            ));
+                JsonOpt(*active_option)
+            );
         }
         EventKind::PowerFailure { checkpointed } => {
-            s.push_str(&format!(",\"checkpointed\":{checkpointed}"));
+            let _ = write!(s, ",\"checkpointed\":{checkpointed}");
         }
         EventKind::Checkpoint => {}
         EventKind::Restore { off_ms } => {
-            s.push_str(&format!(",\"off_ms\":{off_ms}"));
+            let _ = write!(s, ",\"off_ms\":{off_ms}");
         }
         EventKind::TxBackoff {
             wait_ms,
             duty_capped,
         } => {
-            s.push_str(&format!(
-                ",\"wait_ms\":{wait_ms},\"duty_capped\":{duty_capped}"
-            ));
+            let _ = write!(s, ",\"wait_ms\":{wait_ms},\"duty_capped\":{duty_capped}");
         }
         EventKind::Snapshot(snap) => {
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 ",\"irradiance\":{},\"stored_j\":{},\"on\":{},\"occupancy\":{},\"lambda\":{},\
                  \"correction_s\":{},\"active_option\":{},\"ibo_discards\":{}",
-                json_f64(snap.irradiance),
-                json_f64(snap.stored_j),
+                JsonF64(snap.irradiance),
+                JsonF64(snap.stored_j),
                 snap.on,
                 snap.occupancy,
-                json_f64(snap.lambda),
-                json_f64(snap.correction_s),
-                json_opt(snap.active_option),
+                JsonF64(snap.lambda),
+                JsonF64(snap.correction_s),
+                JsonOpt(snap.active_option),
                 snap.ibo_discards
-            ));
+            );
         }
         EventKind::FaultInjected { fault } => {
-            s.push_str(&format!(",\"fault\":\"{fault}\""));
+            let _ = write!(s, ",\"fault\":\"{fault}\"");
         }
     }
     s.push('}');
@@ -224,6 +238,43 @@ pub const CSV_HEADER: &str =
      error_s,correction_s,predicted_arrivals,ibo_predicted,unavoidable,interesting,\
      device_on,checkpointed,off_ms,stored_j,irradiance,on";
 
+/// The [`CSV_HEADER`] columns after `t_ms,kind`, in header order.
+#[derive(Clone, Copy)]
+enum Col {
+    Job,
+    Option,
+    Occupancy,
+    Capacity,
+    Lambda,
+    Expected,
+    Observed,
+    Error,
+    Correction,
+    PredictedArrivals,
+    IboPredicted,
+    Unavoidable,
+    Interesting,
+    DeviceOn,
+    Checkpointed,
+    OffMs,
+    StoredJ,
+    Irradiance,
+    On,
+}
+
+/// Number of [`Col`] slots in a row.
+const CSV_SLOTS: usize = Col::On as usize + 1;
+
+/// One CSV row's column slots, reused across rows: clearing keeps each
+/// slot's capacity, so a steady-state row allocates nothing.
+struct CsvRow([String; CSV_SLOTS]);
+
+impl CsvRow {
+    fn set(&mut self, col: Col, v: impl fmt::Display) {
+        let _ = write!(self.0[col as usize], "{v}");
+    }
+}
+
 /// Writes the event log as flat CSV; columns an event kind does not
 /// define are left empty. Rows accumulate in a reusable arena and
 /// flush every [`EMIT_BLOCK_EVENTS`] events, byte-identical to
@@ -231,136 +282,116 @@ pub const CSV_HEADER: &str =
 pub fn write_csv<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
     let mut arena = String::new();
     let _ = writeln!(arena, "{CSV_HEADER}");
+    let mut row = CsvRow(Default::default());
     for (idx, e) in events.iter().enumerate() {
-        // Column slots, defaulted empty, filled per kind.
-        let mut job = String::new();
-        let mut option = String::new();
-        let mut occupancy = String::new();
-        let mut capacity = String::new();
-        let mut lambda = String::new();
-        let mut expected = String::new();
-        let mut observed = String::new();
-        let mut error = String::new();
-        let mut correction = String::new();
-        let mut predicted_arrivals = String::new();
-        let mut ibo_predicted = String::new();
-        let mut unavoidable = String::new();
-        let mut interesting = String::new();
-        let mut device_on = String::new();
-        let mut checkpointed = String::new();
-        let mut off_ms = String::new();
-        let mut stored_j = String::new();
-        let mut irradiance = String::new();
-        let mut on = String::new();
+        row.0.iter_mut().for_each(String::clear);
         match &e.kind {
             EventKind::SchedulerPick {
-                job: j,
+                job,
                 expected_service_s,
                 correction_s,
                 ..
             } => {
-                job = j.to_string();
-                expected = expected_service_s.to_string();
-                correction = correction_s.to_string();
+                row.set(Col::Job, job);
+                row.set(Col::Expected, expected_service_s);
+                row.set(Col::Correction, correction_s);
             }
             EventKind::IboDecision {
-                job: j,
-                lambda: l,
-                occupancy: occ,
-                capacity: cap,
+                job,
+                lambda,
+                occupancy,
+                capacity,
                 expected_service_s,
-                predicted_arrivals: pa,
-                ibo_predicted: ip,
-                unavoidable: ua,
+                predicted_arrivals,
+                ibo_predicted,
+                unavoidable,
                 chosen_option,
                 ..
             } => {
-                job = j.to_string();
-                lambda = l.to_string();
-                occupancy = occ.to_string();
-                capacity = cap.to_string();
-                expected = expected_service_s.to_string();
-                predicted_arrivals = pa.to_string();
-                ibo_predicted = ip.to_string();
-                unavoidable = ua.to_string();
-                option = chosen_option.to_string();
+                row.set(Col::Job, job);
+                row.set(Col::Lambda, lambda);
+                row.set(Col::Occupancy, occupancy);
+                row.set(Col::Capacity, capacity);
+                row.set(Col::Expected, expected_service_s);
+                row.set(Col::PredictedArrivals, predicted_arrivals);
+                row.set(Col::IboPredicted, ibo_predicted);
+                row.set(Col::Unavoidable, unavoidable);
+                row.set(Col::Option, chosen_option);
             }
             EventKind::PidUpdate {
-                job: j,
+                job,
                 predicted_s,
                 observed_s,
                 error_s,
                 correction_s,
             } => {
-                job = j.to_string();
-                expected = predicted_s.to_string();
-                observed = observed_s.to_string();
-                error = error_s.to_string();
-                correction = correction_s.to_string();
+                row.set(Col::Job, job);
+                row.set(Col::Expected, predicted_s);
+                row.set(Col::Observed, observed_s);
+                row.set(Col::Error, error_s);
+                row.set(Col::Correction, correction_s);
             }
-            EventKind::JobComplete { job: j, observed_s } => {
-                job = j.to_string();
-                observed = observed_s.to_string();
+            EventKind::JobComplete { job, observed_s } => {
+                row.set(Col::Job, job);
+                row.set(Col::Observed, observed_s);
             }
             EventKind::JobStart {
-                job: j,
-                option: o,
-                occupancy: occ,
+                job,
+                option,
+                occupancy,
             } => {
-                job = j.to_string();
-                option = o.to_string();
-                occupancy = occ.to_string();
+                row.set(Col::Job, job);
+                row.set(Col::Option, option);
+                row.set(Col::Occupancy, occupancy);
             }
             EventKind::BufferAdmit {
-                job: j,
-                occupancy: occ,
-                interesting: i,
+                job,
+                occupancy,
+                interesting,
             } => {
-                job = j.to_string();
-                occupancy = occ.to_string();
-                interesting = i.to_string();
+                row.set(Col::Job, job);
+                row.set(Col::Occupancy, occupancy);
+                row.set(Col::Interesting, interesting);
             }
             EventKind::IboDiscard {
-                occupancy: occ,
-                interesting: i,
-                device_on: d,
+                occupancy,
+                interesting,
+                device_on,
                 active_option,
             } => {
-                occupancy = occ.to_string();
-                interesting = i.to_string();
-                device_on = d.to_string();
+                row.set(Col::Occupancy, occupancy);
+                row.set(Col::Interesting, interesting);
+                row.set(Col::DeviceOn, device_on);
                 if let Some(o) = active_option {
-                    option = o.to_string();
+                    row.set(Col::Option, o);
                 }
             }
-            EventKind::PowerFailure { checkpointed: c } => checkpointed = c.to_string(),
+            EventKind::PowerFailure { checkpointed } => row.set(Col::Checkpointed, checkpointed),
             EventKind::Checkpoint => {}
-            EventKind::Restore { off_ms: o } => off_ms = o.to_string(),
+            EventKind::Restore { off_ms } => row.set(Col::OffMs, off_ms),
             // Backoff waits reuse the generic off_ms duration column.
-            EventKind::TxBackoff { wait_ms, .. } => off_ms = wait_ms.to_string(),
+            EventKind::TxBackoff { wait_ms, .. } => row.set(Col::OffMs, wait_ms),
             EventKind::Snapshot(snap) => {
-                occupancy = snap.occupancy.to_string();
-                lambda = snap.lambda.to_string();
-                correction = snap.correction_s.to_string();
-                stored_j = snap.stored_j.to_string();
-                irradiance = snap.irradiance.to_string();
-                on = snap.on.to_string();
+                row.set(Col::Occupancy, snap.occupancy);
+                row.set(Col::Lambda, snap.lambda);
+                row.set(Col::Correction, snap.correction_s);
+                row.set(Col::StoredJ, snap.stored_j);
+                row.set(Col::Irradiance, snap.irradiance);
+                row.set(Col::On, snap.on);
                 if let Some(o) = snap.active_option {
-                    option = o.to_string();
+                    row.set(Col::Option, o);
                 }
             }
             // The fault class is visible through the kind column only;
             // fault events carry no numeric payload.
             EventKind::FaultInjected { .. } => {}
         }
-        let _ = writeln!(
-            arena,
-            "{},{},{job},{option},{occupancy},{capacity},{lambda},{expected},{observed},\
-             {error},{correction},{predicted_arrivals},{ibo_predicted},{unavoidable},\
-             {interesting},{device_on},{checkpointed},{off_ms},{stored_j},{irradiance},{on}",
-            e.t_ms,
-            e.kind.name()
-        );
+        let _ = write!(arena, "{},{}", e.t_ms, e.kind.name());
+        for slot in &row.0 {
+            arena.push(',');
+            arena.push_str(slot);
+        }
+        arena.push('\n');
         if (idx + 1) % EMIT_BLOCK_EVENTS == 0 {
             w.write_all(arena.as_bytes())?;
             arena.clear();
@@ -373,7 +404,7 @@ pub fn write_csv<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CandidateEval, OptionEval};
+    use crate::event::{CandidateEval, OptionEval, Snapshot};
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -473,5 +504,176 @@ mod tests {
         let json = event_to_json(&e);
         assert!(json.contains("\"predicted_s\":null"));
         assert!(json.contains("\"error_s\":null"));
+    }
+
+    /// One event of every kind, with non-finite floats, both arms of
+    /// every `Option`, and multi-entry candidate/option lists.
+    fn every_kind() -> Vec<Event> {
+        let kinds = vec![
+            EventKind::SchedulerPick {
+                job: 2,
+                expected_service_s: 0.1 + 0.2,
+                correction_s: -1.5e-7,
+                p_in_w: f64::INFINITY,
+                candidates: vec![
+                    CandidateEval {
+                        job: 2,
+                        expected_service_s: 1e21,
+                        oldest_input_age_s: 0.0,
+                        selected: true,
+                    },
+                    CandidateEval {
+                        job: 0,
+                        expected_service_s: f64::NAN,
+                        oldest_input_age_s: 12.75,
+                        selected: false,
+                    },
+                ],
+            },
+            EventKind::IboDecision {
+                job: 1,
+                lambda: 1.0 / 3.0,
+                occupancy: 7,
+                capacity: 8,
+                expected_service_s: 4.0,
+                predicted_arrivals: f64::NEG_INFINITY,
+                ibo_predicted: true,
+                unavoidable: false,
+                chosen_option: 2,
+                options: vec![
+                    OptionEval {
+                        option: 0,
+                        expected_service_s: 4.0,
+                        predicts_overflow: true,
+                    },
+                    OptionEval {
+                        option: 2,
+                        expected_service_s: 2.5e-9,
+                        predicts_overflow: false,
+                    },
+                ],
+            },
+            EventKind::PidUpdate {
+                job: 1,
+                predicted_s: 2.0,
+                observed_s: 2.25,
+                error_s: -0.25,
+                correction_s: f64::NAN,
+            },
+            EventKind::JobComplete {
+                job: 1,
+                observed_s: 1e-5,
+            },
+            EventKind::JobStart {
+                job: 3,
+                option: 1,
+                occupancy: 4,
+            },
+            EventKind::BufferAdmit {
+                job: 0,
+                occupancy: 5,
+                interesting: true,
+            },
+            EventKind::IboDiscard {
+                occupancy: 8,
+                interesting: false,
+                device_on: true,
+                active_option: Some(1),
+            },
+            EventKind::IboDiscard {
+                occupancy: 8,
+                interesting: true,
+                device_on: false,
+                active_option: None,
+            },
+            EventKind::PowerFailure { checkpointed: true },
+            EventKind::Checkpoint,
+            EventKind::Restore { off_ms: 12_345 },
+            EventKind::TxBackoff {
+                wait_ms: 640,
+                duty_capped: true,
+            },
+            EventKind::Snapshot(Snapshot {
+                irradiance: 0.625,
+                stored_j: f64::INFINITY,
+                on: false,
+                occupancy: 3,
+                lambda: 0.05,
+                correction_s: -0.0,
+                active_option: Some(0),
+                ibo_discards: u64::MAX,
+            }),
+            EventKind::Snapshot(Snapshot {
+                irradiance: 1.0,
+                stored_j: 0.0125,
+                on: true,
+                occupancy: 0,
+                lambda: f64::NAN,
+                correction_s: 3.0,
+                active_option: None,
+                ibo_discards: 0,
+            }),
+            EventKind::FaultInjected {
+                fault: "adc_misread",
+            },
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| Event {
+                t_ms: 1000 * i as u64 + 7,
+                kind,
+            })
+            .collect()
+    }
+
+    /// The exact bytes both exporters wrote before they formatted
+    /// straight into the arena; any formatting drift fails here.
+    const PINNED_JSONL: &str = r#"{"t_ms":7,"kind":"scheduler_pick","job":2,"expected_service_s":0.30000000000000004,"correction_s":-0.00000015,"p_in_w":null,"candidates":[{"job":2,"expected_service_s":1000000000000000000000,"oldest_input_age_s":0,"selected":true},{"job":0,"expected_service_s":null,"oldest_input_age_s":12.75,"selected":false}]}
+{"t_ms":1007,"kind":"ibo_decision","job":1,"lambda":0.3333333333333333,"occupancy":7,"capacity":8,"expected_service_s":4,"predicted_arrivals":null,"ibo_predicted":true,"unavoidable":false,"chosen_option":2,"options":[{"option":0,"expected_service_s":4,"predicts_overflow":true},{"option":2,"expected_service_s":0.0000000025,"predicts_overflow":false}]}
+{"t_ms":2007,"kind":"pid_update","job":1,"predicted_s":2,"observed_s":2.25,"error_s":-0.25,"correction_s":null}
+{"t_ms":3007,"kind":"job_complete","job":1,"observed_s":0.00001}
+{"t_ms":4007,"kind":"job_start","job":3,"option":1,"occupancy":4}
+{"t_ms":5007,"kind":"buffer_admit","job":0,"occupancy":5,"interesting":true}
+{"t_ms":6007,"kind":"ibo_discard","occupancy":8,"interesting":false,"device_on":true,"active_option":1}
+{"t_ms":7007,"kind":"ibo_discard","occupancy":8,"interesting":true,"device_on":false,"active_option":null}
+{"t_ms":8007,"kind":"power_failure","checkpointed":true}
+{"t_ms":9007,"kind":"checkpoint"}
+{"t_ms":10007,"kind":"restore","off_ms":12345}
+{"t_ms":11007,"kind":"tx_backoff","wait_ms":640,"duty_capped":true}
+{"t_ms":12007,"kind":"snapshot","irradiance":0.625,"stored_j":null,"on":false,"occupancy":3,"lambda":0.05,"correction_s":-0,"active_option":0,"ibo_discards":18446744073709551615}
+{"t_ms":13007,"kind":"snapshot","irradiance":1,"stored_j":0.0125,"on":true,"occupancy":0,"lambda":null,"correction_s":3,"active_option":null,"ibo_discards":0}
+{"t_ms":14007,"kind":"fault_injected","fault":"adc_misread"}
+"#;
+
+    const PINNED_CSV: &str = r#"t_ms,kind,job,option,occupancy,capacity,lambda,expected_service_s,observed_s,error_s,correction_s,predicted_arrivals,ibo_predicted,unavoidable,interesting,device_on,checkpointed,off_ms,stored_j,irradiance,on
+7,scheduler_pick,2,,,,,0.30000000000000004,,,-0.00000015,,,,,,,,,,
+1007,ibo_decision,1,2,7,8,0.3333333333333333,4,,,,-inf,true,false,,,,,,,
+2007,pid_update,1,,,,,2,2.25,-0.25,NaN,,,,,,,,,,
+3007,job_complete,1,,,,,,0.00001,,,,,,,,,,,,
+4007,job_start,3,1,4,,,,,,,,,,,,,,,,
+5007,buffer_admit,0,,5,,,,,,,,,,true,,,,,,
+6007,ibo_discard,,1,8,,,,,,,,,,false,true,,,,,
+7007,ibo_discard,,,8,,,,,,,,,,true,false,,,,,
+8007,power_failure,,,,,,,,,,,,,,,true,,,,
+9007,checkpoint,,,,,,,,,,,,,,,,,,,
+10007,restore,,,,,,,,,,,,,,,,12345,,,
+11007,tx_backoff,,,,,,,,,,,,,,,,640,,,
+12007,snapshot,,0,3,,0.05,,,,-0,,,,,,,,inf,0.625,false
+13007,snapshot,,,0,,NaN,,,,3,,,,,,,,0.0125,1,true
+14007,fault_injected,,,,,,,,,,,,,,,,,,,
+"#;
+
+    #[test]
+    fn exports_of_every_kind_are_pinned_byte_for_byte() {
+        let mut jsonl = Vec::new();
+        write_jsonl(&mut jsonl, &every_kind()).unwrap();
+        assert_eq!(String::from_utf8(jsonl).unwrap(), PINNED_JSONL);
+        let mut csv = Vec::new();
+        write_csv(&mut csv, &every_kind()).unwrap();
+        assert_eq!(String::from_utf8(csv).unwrap(), PINNED_CSV);
+        for (event, line) in every_kind().iter().zip(PINNED_JSONL.lines()) {
+            assert_eq!(event_to_json(event), line);
+        }
     }
 }

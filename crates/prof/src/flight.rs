@@ -14,7 +14,7 @@
 //!   moment an invariant `panic!`s, so crashes ship their own
 //!   evidence.
 
-use qz_obs::export::event_to_json;
+use qz_obs::export::event_to_json_into;
 use qz_obs::{Event, EventKind, Observer};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -211,7 +211,7 @@ impl FlightRecorder {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&event_to_json(e));
+            event_to_json_into(&mut out, e);
         }
         out.push_str("]}");
         out
@@ -223,7 +223,7 @@ impl FlightRecorder {
     }
 }
 
-fn json_escape_into(out: &mut String, s: &str) {
+pub(crate) fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -26,6 +26,12 @@ pub const BASELINE_SCHEMA: &str = "qz-bench-baseline/v1";
 // Minimal JSON reader
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The reader
+/// recurses once per level, so the cap keeps hostile input from
+/// overflowing the stack; `qz-snap/v1` and the bench files nest fewer
+/// than ten levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// A parsed JSON value (objects keep key order).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -45,14 +51,17 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed).
+    /// Runs in time linear in `text.len()`; arrays and objects may nest
+    /// at most [`MAX_DEPTH`] deep.
     ///
     /// # Errors
     ///
-    /// A short message with the byte offset on malformed input.
+    /// A short message with the byte offset on malformed input,
+    /// including nesting past [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -116,12 +125,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(String::from("unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -156,49 +168,50 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(String::from("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar (JSON strings are valid UTF-8
-                // here by construction: the input came from &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash as one slice.
+        // Both delimiters are ASCII and the input came from a &str, so
+        // the run is whole UTF-8; validating just the run (not the rest
+        // of the input) keeps the parse linear.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        let text = std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+        out.push_str(text);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                // Exactly four hex digits: `from_str_radix` alone would
+                // also take a sign (`\u+041`).
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", *pos - 1))?;
+                let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -207,7 +220,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -220,7 +233,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -233,7 +246,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -658,6 +671,122 @@ mod tests {
         assert_eq!(doc.get("e"), Some(&Json::Null));
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("[1,2] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 256 at byte"), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert_eq!(
+            Json::parse(&past_cap).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse(r#""\u0041\u00e9\u20AC""#).unwrap().as_str(),
+            Some("Aé€")
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u004""#,
+            r#""\u004G""#,
+            r#""\u"#,
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.starts_with("bad \\u escape at byte 1"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_four_mib_string_parses() {
+        // The old reader re-validated the rest of the input at every
+        // character, which would take minutes here.
+        let piece = "0123456789abcdé€😀\\\"\\n";
+        let text = format!("\"{}\"", piece.repeat((4 << 20) / piece.len()));
+        let decoded = "0123456789abcdé€😀\"\n".repeat((4 << 20) / piece.len());
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(decoded.as_str()));
+    }
+
+    #[test]
+    fn a_snapshot_with_twenty_thousand_telemetry_samples_parses() {
+        // The `qz-snap/v1` shape: u64s and f64 bit patterns travel as
+        // decimal strings, so nearly every byte sits inside a string.
+        const SAMPLES: u64 = 20_000;
+        let mut doc = String::from("{\"schema\":\"qz-snap/v1\",\"now\":\"1000\",\"telemetry\":[");
+        for i in 0..SAMPLES {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!(
+                "{{\"t\":\"{}\",\"irradiance\":\"{}\",\"stored\":\"{}\",\"on\":true,\
+                 \"occupancy\":3,\"lambda\":\"{}\",\"correction\":\"{}\",\
+                 \"active_option\":null,\"ibo_discards\":\"{i}\"}}",
+                i * 1000,
+                (0.5f64 + i as f64).to_bits(),
+                1.25f64.to_bits(),
+                0.1f64.to_bits(),
+                (-0.25f64).to_bits(),
+            ));
+        }
+        doc.push_str("],\"done\":false}");
+        assert!(doc.len() > 3 << 20, "{} bytes", doc.len());
+
+        let parsed = Json::parse(&doc).unwrap();
+        let samples = parsed.get("telemetry").unwrap().as_arr().unwrap();
+        assert_eq!(samples.len(), 20_000);
+        let last = &samples[19_999];
+        assert_eq!(last.get("t").unwrap().as_str(), Some("19999000"));
+        let irradiance = 19_999.5f64.to_bits().to_string();
+        assert_eq!(
+            last.get("irradiance").unwrap().as_str(),
+            Some(irradiance.as_str())
+        );
+        assert_eq!(last.get("active_option"), Some(&Json::Null));
+        assert_eq!(parsed.get("done"), Some(&Json::Bool(false)));
+    }
+
+    #[test]
+    fn escaped_strings_round_trip_with_specials_at_every_position() {
+        // Every string of up to four symbols over multi-byte scalars and
+        // the characters that need escaping, so each special sits at
+        // every position and next to every other symbol.
+        const SYMBOLS: [char; 8] = ['a', 'é', '€', '😀', '"', '\\', '\n', '\u{1}'];
+        let mut strings = vec![String::new()];
+        let mut frontier = vec![String::new()];
+        for _ in 0..4 {
+            frontier = frontier
+                .iter()
+                .flat_map(|s| {
+                    SYMBOLS.iter().map(move |c| {
+                        let mut t = s.clone();
+                        t.push(*c);
+                        t
+                    })
+                })
+                .collect();
+            strings.extend(frontier.iter().cloned());
+        }
+        assert_eq!(strings.len(), 1 + 8 + 64 + 512 + 4096);
+        for s in &strings {
+            let mut doc = String::from("{\"");
+            crate::flight::json_escape_into(&mut doc, s);
+            doc.push_str("\":\"");
+            crate::flight::json_escape_into(&mut doc, s);
+            doc.push_str("\"}");
+            let parsed = Json::parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+            let (key, value) = &parsed.as_obj().unwrap()[0];
+            assert_eq!(key, s, "key of {doc:?}");
+            assert_eq!(value.as_str(), Some(s.as_str()), "value of {doc:?}");
+        }
     }
 
     #[test]

@@ -97,6 +97,21 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_with_twenty_thousand_telemetry_samples_round_trips() {
+        let env = env();
+        let tw = tweaks(qz_sim::EngineKind::FastForward);
+        let mut sim = build(&env, &tw);
+        sim.record_telemetry(SimDuration::from_secs(1));
+        sim.step_until(SimTime::from_millis(60_000));
+        let mut state = sim.save_state().unwrap();
+        let samples = state.telemetry.as_mut().unwrap();
+        assert!(!samples.is_empty());
+        *samples = samples.iter().cycle().take(20_000).cloned().collect();
+        let text = to_json(&state);
+        assert_eq!(from_json(&text, sim.runtime().spec()).unwrap(), state);
+    }
+
+    #[test]
     fn from_json_rejects_garbage() {
         let env = env();
         let tw = tweaks(qz_sim::EngineKind::FastForward);
