@@ -20,7 +20,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=914
+test_floor=917
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -116,11 +116,12 @@ echo "== throughput benches + qz bench --check baseline gate =="
 # every trajectory against results/BENCH_baseline.json and exits
 # nonzero on regression. Floors (Quiet >= 3x, Crowded >= 3x, Burst >=
 # 1.1x, fleet >= 1x) sit well under quiet-machine numbers to absorb
-# shared-runner noise: with the batched busy-tick kernel the bench box
-# records Crowded around 7-10x and Quiet around 19-20x. Burst runs
-# 2 s storms / 10 s lulls under the `smoke` fault preset, where the
-# adversary consults every tick on both engines by design, so its
-# speedup is structurally modest. The
+# shared-runner noise: the bench box records Crowded around 7-10x and
+# Quiet around 19-20x. Busy ticks run one reference tick at a time on
+# both engines; only an installed fault injector's ticks run in
+# fault-collapse blocks. Burst runs 2 s storms / 10 s lulls under the
+# `smoke` fault preset, where the adversary consults every tick on both
+# engines by design, so its speedup is structurally modest. The
 # fault_campaigns bench gates snapshot-mode campaigns at >= 2x over
 # replay-from-zero (reports asserted byte-identical first). The
 # fleet_throughput bench additionally gates the event-horizon scheduler
@@ -161,6 +162,17 @@ cargo run -q --bin qz -- fault --preset smoke --events 4 --campaigns 4 \
 cargo run -q --bin qz -- fault --preset smoke --events 4 --campaigns 4 \
     --seed 0xC1C1 --threads 2 --json "${fleet_dir}/f2.json" > /dev/null
 cmp "${fleet_dir}/f1.json" "${fleet_dir}/f2.json"
+
+echo "== engine equivalence: fault campaigns under tick vs fast-forward =="
+# Fault-collapse blocks (Simulation::busy_block) run only while an
+# injector is installed, so the clean fleet smoke above never reaches
+# them: the same fixed-seed campaign must report byte-identical JSON
+# under both engines.
+cargo run -q --bin qz -- fault --preset smoke --events 4 --campaigns 4 \
+    --seed 0xC1C1 --threads 1 --engine tick --json "${fleet_dir}/f_tick.json" > /dev/null
+cargo run -q --bin qz -- fault --preset smoke --events 4 --campaigns 4 \
+    --seed 0xC1C1 --threads 1 --engine fast-forward --json "${fleet_dir}/f_fast.json" > /dev/null
+cmp "${fleet_dir}/f_tick.json" "${fleet_dir}/f_fast.json"
 
 echo "== qz branch: identity-fork self-check =="
 # With no fork flags, `qz branch` forks a run from a mid-run snapshot

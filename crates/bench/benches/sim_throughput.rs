@@ -26,7 +26,7 @@ struct Case {
     events: usize,
     /// Fault-plan preset installed on both engines (`None` = clean
     /// run). A present injector collapses every quiescent span, so this
-    /// exercises the batched busy-tick kernel end to end.
+    /// exercises the fault-collapse block end to end.
     fault: Option<&'static str>,
 }
 

@@ -71,9 +71,8 @@ fn horizon(input: &CheckInput<'_>, report: &mut Report) {
             format!(
                 "capture period of {period} tick(s) puts a capture boundary on (almost) every \
                  tick; the fast-forward engine's event horizon collapses and the run falls \
-                 back to the batched busy-tick kernel — still reference semantics, but \
-                 amortized dispatch instead of bulk-advanced spans, so expect crowded-regime \
-                 speed rather than quiet-regime speed",
+                 back to one reference tick at a time instead of bulk-advanced spans, so \
+                 expect tick-engine speed rather than quiet-regime speed",
             ),
         );
     }

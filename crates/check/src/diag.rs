@@ -406,15 +406,11 @@ impl Code {
             }
             Code::QZ070 => {
                 "The fast-forward engine skips quiescent ticks between events; a capture \
-                 boundary on (almost) every tick collapses that horizon. Collapsed runs \
-                 no longer degenerate to scalar per-tick stepping: repeating busy \
-                 regimes (an installed fault injector, the scheduler running every tick \
-                 while inputs queue) execute through the batched busy-tick kernel, which \
-                 hoists per-tick invariants into 64-tick block prologues with \
-                 byte-identical observables. Batching does NOT apply to one-off \
-                 boundary ticks (captures, telemetry samples, countdown expiries) — \
-                 those still run single reference ticks — so a short capture period \
-                 still costs real speed; it just no longer costs an order of magnitude."
+                 boundary on (almost) every tick collapses that horizon, and every \
+                 collapsed tick runs as a single reference tick. Only an installed fault \
+                 injector's ticks run in blocks, and those blocks end at the next \
+                 capture boundary too, so a short capture period costs the full \
+                 per-tick price: expect tick-engine speed, not bulk-skipping speed."
             }
             Code::QZ071 => {
                 "Telemetry or snapshot periods near one tick put an observation boundary \
@@ -519,8 +515,8 @@ impl Code {
                  (just-in-time or shorter periodic checkpoints)."
             }
             Code::QZ070 => {
-                "Lengthen capture_period, or accept batched busy-tick speed (crowded-\
-                 regime throughput, not quiet-regime bulk skipping)."
+                "Lengthen capture_period, or accept per-tick reference speed (no \
+                 quiet-regime bulk skipping)."
             }
             Code::QZ071 => "Lengthen the telemetry/snapshot period, or drop the instrumentation.",
             Code::QZ073 => {
@@ -865,19 +861,19 @@ impl Report {
                     out.push('"');
                     out.push_str(key);
                     out.push_str("\":\"");
-                    json_escape_into(&mut out, value);
+                    qz_types::json::escape_into(&mut out, value);
                     out.push('"');
                 }
             }
             out.push_str("},\"message\":\"");
-            json_escape_into(&mut out, &d.message);
+            qz_types::json::escape_into(&mut out, &d.message);
             out.push_str("\",\"sources\":[");
             for (j, s) in d.sources.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
                 out.push('"');
-                json_escape_into(&mut out, s);
+                qz_types::json::escape_into(&mut out, s);
                 out.push('"');
             }
             out.push_str("]}");
@@ -889,22 +885,6 @@ impl Report {
             self.notes()
         ));
         out
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -233,34 +233,17 @@ fn check(args: &CheckArgs) -> ExitCode {
     }
 }
 
-/// Minimal JSON string escaping for the hand-rolled emitters below.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn verdict_json(v: &Verdict, repro: &dyn Fn(SolarMode) -> String) -> String {
     match v {
         Verdict::Proven => String::from("{\"verdict\":\"PROVEN\"}"),
         Verdict::Refuted { mode } => format!(
             "{{\"verdict\":\"REFUTED\",\"mode\":\"{}\",\"repro\":\"{}\"}}",
             mode.token(),
-            json_escape(&repro(*mode))
+            qz_types::json::escape(&repro(*mode))
         ),
         Verdict::Unknown { blocking } => format!(
             "{{\"verdict\":\"UNKNOWN\",\"blocking\":\"{}\"}}",
-            json_escape(blocking)
+            qz_types::json::escape(blocking)
         ),
     }
 }
@@ -454,7 +437,7 @@ fn lint_src(args: &LintSrcArgs) -> ExitCode {
             .map(|f| {
                 format!(
                     "{{\"path\":\"{}\",\"line\":{},\"pattern\":\"{}\",\"rationale\":\"{}\"}}",
-                    json_escape(&f.path),
+                    qz_types::json::escape(&f.path),
                     f.line,
                     f.pattern,
                     f.rationale

@@ -212,10 +212,10 @@ impl Supercap {
     }
 
     /// Overwrites the stored energy directly. Crate-internal escape
-    /// hatch for [`crate::PowerSystem`]'s sprint loop, which mirrors
-    /// the charge/discharge arithmetic on hoisted `f64` locals and
-    /// writes the result back; all invariants (`0 ≤ energy ≤ capacity`
-    /// up to per-op rounding) are the caller's responsibility.
+    /// hatch for [`crate::PowerSystem`]'s tick kernel, which runs the
+    /// charge/discharge arithmetic on a hoisted `f64` local and writes
+    /// the result back; all invariants (`0 ≤ energy ≤ capacity` up to
+    /// per-op rounding) are the caller's responsibility.
     #[inline]
     pub(crate) fn set_energy_raw(&mut self, energy: Joules) {
         self.energy = energy;

@@ -108,10 +108,10 @@ impl PowerSystem {
     /// [`PowerSystem::step`] with the harvester conversion already done:
     /// `input_power` must be `self.harvester().output(irradiance)` for
     /// the tick's irradiance. Callers that know the irradiance is
-    /// constant across a run of ticks (the batched busy-tick kernel)
-    /// hoist the conversion once per block; the downstream arithmetic is
-    /// the same ops on the same bits, so outcomes are identical to
-    /// calling `step` per tick.
+    /// constant across a run of ticks (the simulator's fault-collapse
+    /// block) hoist the conversion once per block; the downstream
+    /// arithmetic is the same ops on the same bits, so outcomes are
+    /// identical to calling `step` per tick.
     #[inline]
     pub fn step_prepared(
         &mut self,
@@ -120,30 +120,16 @@ impl PowerSystem {
         dt: SimDuration,
     ) -> StepOutcome {
         debug_assert!(load.value() >= 0.0, "load must be non-negative");
-        let offered = input_power * dt.as_seconds();
-        let harvested = self.capacitor.charge(offered);
-        let wasted = offered - harvested;
-
-        // Self-discharge, independent of the load.
-        let leak = self.capacitor.config().leakage * dt.as_seconds();
-        if leak.value() > 0.0 {
-            self.capacitor.discharge(leak);
-        }
-
-        let demand = load * dt.as_seconds();
-        let supplied = self.capacitor.discharge(demand);
-        let brownout = supplied.value() + 1e-18 < demand.value();
-
-        self.total_harvested += harvested;
-        self.total_wasted += wasted;
-        self.total_supplied += supplied;
-
+        let k = TickConstants::new(&self.capacitor, input_power, load, dt);
+        let mut ledger = Ledger::load(self, Joules::ZERO, Joules::ZERO);
+        let flows = ledger.tick(&k);
+        ledger.store(self);
         StepOutcome {
             input_power,
-            harvested,
-            wasted,
-            supplied,
-            brownout,
+            harvested: Joules(flows.harvested),
+            wasted: Joules(flows.wasted),
+            supplied: Joules(flows.supplied),
+            brownout: k.browned_out(flows.supplied),
         }
     }
 
@@ -156,10 +142,9 @@ impl PowerSystem {
     /// to a caller looping [`PowerSystem::step`] by hand: a *sprint*
     /// prefix — whose length is proven crossing-free by conservative
     /// rate bounds ([`PowerSystem::ticks_until_crossing`] gives the
-    /// closed-form estimate those bounds derive from) — replicates
-    /// `step`'s arithmetic operation-for-operation with the per-tick
-    /// constants hoisted, and the vigilant tail runs `step` itself with
-    /// per-tick stop checks.
+    /// closed-form estimate those bounds derive from) — and the vigilant
+    /// tail with its per-tick stop checks both run `step`'s own tick
+    /// kernel with the per-tick constants hoisted.
     #[allow(clippy::too_many_arguments)] // mirrors step() plus the span ledgers
     pub fn advance(
         &mut self,
@@ -223,6 +208,8 @@ impl PowerSystem {
         wasted_acc: &mut Joules,
         mut prof: Option<&mut PhaseProfiler>,
     ) -> BulkOutcome {
+        let k = TickConstants::new(&self.capacitor, self.harvester.output(irradiance), load, dt);
+        let mut ledger = Ledger::load(self, *harvested_acc, *wasted_acc);
         // Iterate the sprint: each pass re-derives a crossing-free prefix
         // from the *current* stored energy, so the conservative haircut
         // and margin cost only ~margin ticks of vigilant tail per
@@ -231,285 +218,70 @@ impl PowerSystem {
         let t0 = prof.as_ref().and_then(|p| p.begin());
         let mut sprinted = false;
         while ticks < max_ticks {
-            let sprint = self
-                .sprint_bound(irradiance, load, dt, stop)
+            let n = self
+                .sprint_bound(ledger.energy, irradiance, load, dt, stop)
                 .min(max_ticks - ticks);
-            if sprint == 0 {
+            if n == 0 {
                 break;
             }
             sprinted = true;
-            self.sprint(
-                irradiance,
-                load,
-                dt,
-                sprint,
-                harvested_acc,
-                wasted_acc,
-                prof.as_deref_mut(),
-            );
-            ticks += sprint;
+            ledger.sprint(&k, n, prof.as_deref_mut());
+            ticks += n;
         }
         if sprinted {
             if let Some(p) = prof.as_deref_mut() {
                 p.end(Phase::Sprint, t0);
             }
         }
-        let t_tail = if ticks < max_ticks {
-            prof.as_ref().and_then(|p| p.begin())
-        } else {
-            None
-        };
         let mut crossed = false;
         if ticks < max_ticks {
-            let (tail, hit) = self.vigilant_tail(
-                irradiance,
-                load,
-                dt,
-                max_ticks - ticks,
-                stop,
-                harvested_acc,
-                wasted_acc,
-            );
+            let t_tail = prof.as_ref().and_then(|p| p.begin());
+            let (tail, hit) = self.vigilant_tail(&k, &mut ledger, max_ticks - ticks, stop);
             ticks += tail;
             crossed = hit;
+            if let Some(p) = prof {
+                p.end(Phase::VigilantTail, t_tail);
+            }
         }
-        if let Some(p) = prof {
-            p.end(Phase::VigilantTail, t_tail);
-        }
+        (*harvested_acc, *wasted_acc) = ledger.store(self);
         BulkOutcome { ticks, crossed }
     }
 
     /// The vigilant tail of [`PowerSystem::advance`]: per-tick stepping
-    /// with the stop condition checked after every committed tick.
-    /// Replicates [`PowerSystem::step`]'s arithmetic
-    /// operation-for-operation on hoisted locals — including every
-    /// clamp, the brownout comparison, and `can_turn_on`'s
-    /// voltage-domain square root — so the trajectory is bit-identical
-    /// to calling `step` in a loop while costing a handful of flops per
-    /// tick instead of re-deriving the harvester output and capacity.
-    #[allow(clippy::too_many_arguments)] // mirrors advance_inner()
+    /// with the stop condition checked after every committed tick. Runs
+    /// the tick kernel on hoisted constants — with `can_turn_on`'s
+    /// voltage-domain square root hoisted the same way — so the
+    /// trajectory is bit-identical to calling `step` in a loop.
     fn vigilant_tail(
-        &mut self,
-        irradiance: f64,
-        load: Watts,
-        dt: SimDuration,
+        &self,
+        k: &TickConstants,
+        ledger: &mut Ledger,
         max_ticks: u64,
         stop: StopCondition,
-        harvested_acc: &mut Joules,
-        wasted_acc: &mut Joules,
     ) -> (u64, bool) {
-        let secs = dt.as_seconds();
-        let offered = (self.harvester.output(irradiance) * secs).value();
-        let leak = (self.capacitor.config().leakage * secs).value();
-        let demand = (load * secs).value();
-        let capacity = self.capacitor.capacity().value();
         // can_turn_on()'s comparison, with its constant operands hoisted:
         // `sqrt(v_off² + 2·E/C) ≥ v_on − 1 nV`.
         let v_off = self.capacitor.config().v_off.value();
         let v_off_sq = v_off * v_off;
         let c = self.capacitor.config().capacitance.value();
         let v_on_slack = (self.capacitor.config().v_on - qz_types::Volts(1e-9)).value();
-        let mut energy = self.capacitor.energy().value();
-        let mut total_h = self.total_harvested.value();
-        let mut total_w = self.total_wasted.value();
-        let mut total_s = self.total_supplied.value();
-        let mut acc_h = harvested_acc.value();
-        let mut acc_w = wasted_acc.value();
         let mut ticks = 0;
-        let mut crossed = false;
         while ticks < max_ticks {
-            // charge(offered)
-            let headroom = (capacity - energy).max(0.0);
-            let harvested = offered.min(headroom);
-            energy += harvested;
-            let wasted = offered - harvested;
-            // self-discharge
-            if leak > 0.0 {
-                let leaked = leak.min(energy);
-                energy -= leaked;
-                if energy < 0.0 {
-                    energy = 0.0;
-                }
-            }
-            // discharge(demand)
-            let supplied = demand.min(energy);
-            energy -= supplied;
-            if energy < 0.0 {
-                energy = 0.0;
-            }
-            total_h += harvested;
-            total_w += wasted;
-            total_s += supplied;
-            acc_h += harvested;
-            acc_w += wasted;
+            let flows = ledger.tick(k);
             ticks += 1;
-            crossed = match stop {
+            let energy = ledger.energy;
+            let crossed = match stop {
                 StopCondition::None => false,
                 StopCondition::Depleted(reserve) => {
-                    energy <= reserve.value() || supplied + 1e-18 < demand
+                    energy <= reserve.value() || k.browned_out(flows.supplied)
                 }
                 StopCondition::CanTurnOn => (v_off_sq + 2.0 * energy / c).sqrt() >= v_on_slack,
             };
             if crossed {
-                break;
+                return (ticks, true);
             }
         }
-        self.capacitor.set_energy_raw(Joules(energy));
-        self.total_harvested = Joules(total_h);
-        self.total_wasted = Joules(total_w);
-        self.total_supplied = Joules(total_s);
-        *harvested_acc = Joules(acc_h);
-        *wasted_acc = Joules(acc_w);
-        (ticks, crossed)
-    }
-
-    /// Runs `n` consecutive [`PowerSystem::step`]-equivalent ticks with
-    /// every per-tick constant hoisted out of the loop, on raw `f64`
-    /// locals. The arithmetic replicates `step` operation-for-operation
-    /// (`charge`'s `min`/`max` clamps, the leak draw, `discharge`'s
-    /// floor at zero, the three lifetime-total additions), so the final
-    /// state is bit-identical to stepping — pinned by the
-    /// `advance_is_bit_identical_to_stepping` proptest. This loop is
-    /// where the fast-forward engine's throughput comes from: the full
-    /// `step` path re-derives the harvester output, offered energy, and
-    /// capacity every tick, which dominates a quiescent tick's cost.
-    ///
-    /// Callers must only request ticks proven not to need a stop check
-    /// (see [`PowerSystem::advance`]'s sprint bound): the loop commits
-    /// all `n` ticks unconditionally.
-    #[allow(clippy::too_many_arguments)] // mirrors advance_inner()
-    fn sprint(
-        &mut self,
-        irradiance: f64,
-        load: Watts,
-        dt: SimDuration,
-        n: u64,
-        harvested_acc: &mut Joules,
-        wasted_acc: &mut Joules,
-        mut prof: Option<&mut PhaseProfiler>,
-    ) {
-        if n == 0 {
-            return;
-        }
-        let secs = dt.as_seconds();
-        let offered = (self.harvester.output(irradiance) * secs).value();
-        let leak = (self.capacitor.config().leakage * secs).value();
-        let demand = (load * secs).value();
-        let capacity = self.capacitor.capacity().value();
-        let mut energy = self.capacitor.energy().value();
-        let mut total_h = self.total_harvested.value();
-        let mut total_w = self.total_wasted.value();
-        let mut total_s = self.total_supplied.value();
-        let mut acc_h = harvested_acc.value();
-        let mut acc_w = wasted_acc.value();
-        // `energy` is finite and non-negative, so a NaN bit pattern can
-        // never collide with a real start-of-tick value.
-        let mut prev_start = u64::MAX;
-        let (mut last_h, mut last_w, mut last_s) = (0.0f64, 0.0, 0.0);
-        let mut i = 0;
-        while i < n {
-            // Clamp-free block: while the capacitor provably neither
-            // fills nor empties, every tick reduces to
-            // `harvested == offered`, `wasted == +0.0`,
-            // `supplied == demand` with the exact bits the clamped path
-            // would produce, so the min/max clamps and the `+= 0.0`
-            // wasted additions can be elided wholesale. The first tick
-            // of every sprint stays on the scalar path (`i >= 1`) so the
-            // period-1 fixed-point detector keeps its chance to arm.
-            if i >= 1 {
-                let block = clamp_free_ticks(energy, offered, leak, demand, capacity).min(n - i);
-                if block >= CLAMP_FREE_MIN {
-                    // `x + 0.0 == x` bitwise for every x except -0.0;
-                    // normalize the wasted accumulators once so skipping
-                    // their per-tick `+= +0.0` is exact.
-                    if total_w.to_bits() == NEG_ZERO_BITS {
-                        total_w += 0.0;
-                    }
-                    if acc_w.to_bits() == NEG_ZERO_BITS {
-                        acc_w += 0.0;
-                    }
-                    if leak > 0.0 {
-                        for _ in 0..block {
-                            energy += offered;
-                            energy -= leak;
-                            energy -= demand;
-                            total_h += offered;
-                            total_s += demand;
-                            acc_h += offered;
-                        }
-                    } else {
-                        for _ in 0..block {
-                            energy += offered;
-                            energy -= demand;
-                            total_h += offered;
-                            total_s += demand;
-                            acc_h += offered;
-                        }
-                    }
-                    i += block;
-                    // The fixed-point detector must re-arm from scratch:
-                    // `last_*` no longer describe the previous tick.
-                    prev_start = u64::MAX;
-                    continue;
-                }
-            }
-            // Period-1 fixed-point detection: when a tick starts from
-            // the exact energy bits the previous tick started from, the
-            // whole tick repeats verbatim (every per-tick quantity is a
-            // pure function of the start energy and the hoisted
-            // constants). The capacitor pinned full under sun and
-            // pinned empty in the dark both reach this cycle within two
-            // ticks; replaying the constant increments drops the serial
-            // energy dependency chain from the loop.
-            let start = energy.to_bits();
-            if start == prev_start {
-                let t0 = prof.as_ref().and_then(|p| p.begin());
-                for _ in i..n {
-                    total_h += last_h;
-                    total_w += last_w;
-                    total_s += last_s;
-                    acc_h += last_h;
-                    acc_w += last_w;
-                }
-                if let Some(p) = prof.as_deref_mut() {
-                    p.end(Phase::Replay, t0);
-                }
-                break;
-            }
-            prev_start = start;
-            // charge(offered)
-            let headroom = (capacity - energy).max(0.0);
-            let harvested = offered.min(headroom);
-            energy += harvested;
-            let wasted = offered - harvested;
-            // self-discharge
-            if leak > 0.0 {
-                let leaked = leak.min(energy);
-                energy -= leaked;
-                if energy < 0.0 {
-                    energy = 0.0;
-                }
-            }
-            // discharge(demand)
-            let supplied = demand.min(energy);
-            energy -= supplied;
-            if energy < 0.0 {
-                energy = 0.0;
-            }
-            total_h += harvested;
-            total_w += wasted;
-            total_s += supplied;
-            acc_h += harvested;
-            acc_w += wasted;
-            (last_h, last_w, last_s) = (harvested, wasted, supplied);
-            i += 1;
-        }
-        self.capacitor.set_energy_raw(Joules(energy));
-        self.total_harvested = Joules(total_h);
-        self.total_wasted = Joules(total_w);
-        self.total_supplied = Joules(total_s);
-        *harvested_acc = Joules(acc_h);
-        *wasted_acc = Joules(acc_w);
+        (ticks, false)
     }
 
     /// Closed-form estimate of how many `dt` ticks of constant
@@ -561,6 +333,7 @@ impl PowerSystem {
     /// per-tick stop checks for this prefix.
     fn sprint_bound(
         &self,
+        energy: f64,
         irradiance: f64,
         load: Watts,
         dt: SimDuration,
@@ -568,7 +341,6 @@ impl PowerSystem {
     ) -> u64 {
         const HAIRCUT: f64 = 1.0 - 1e-6;
         const MARGIN: u64 = 64;
-        let energy = self.capacitor.energy().value();
         let secs = dt.as_seconds().value();
         let bound = match stop {
             StopCondition::None => return u64::MAX,
@@ -672,41 +444,261 @@ const CLAMP_FREE_MIN: u64 = 16;
 /// the clamp-free block.
 const NEG_ZERO_BITS: u64 = 0x8000_0000_0000_0000;
 
-/// Conservative count of upcoming ticks during which the capacitor
-/// provably neither fills (`charge` would clamp) nor runs low enough
-/// for the leak/load draws to clamp, starting from `energy` stored
-/// joules under constant per-tick `offered`/`leak`/`demand` joules.
-///
-/// Uses the same worst-case rate reasoning as `sprint_bound`: energy
-/// rises at most `offered` and falls at most `leak + demand` per tick,
-/// and a multiplicative haircut plus a fixed margin absorb f64 rounding
-/// drift. Within the returned prefix every tick satisfies
-/// `offered < headroom` and `leak + demand < energy-after-charge`, so
-/// `harvested == offered`, `wasted == +0.0`, and `supplied == demand`
-/// bit-exactly.
-fn clamp_free_ticks(energy: f64, offered: f64, leak: f64, demand: f64, capacity: f64) -> u64 {
-    const HAIRCUT: f64 = 1.0 - 1e-6;
-    const MARGIN: u64 = 8;
-    let dec = leak + demand;
-    let up = if offered <= 0.0 {
-        f64::INFINITY
-    } else {
-        (capacity * HAIRCUT - energy) / offered
-    };
-    let down = if dec <= 0.0 {
-        f64::INFINITY
-    } else {
-        (energy * HAIRCUT - dec) / dec
-    };
-    let bound = up.min(down);
-    // NaN-safe: a NaN bound (0/0 corner) must also yield an empty sprint.
-    if bound.is_nan() || bound <= 0.0 {
-        return 0;
+/// The per-tick constants of one energy step under constant irradiance
+/// and load, in joules per tick, hoisted out of every tick loop.
+#[derive(Debug, Clone, Copy)]
+struct TickConstants {
+    /// Harvest offered to storage (input power × dt).
+    offered: f64,
+    /// Self-discharge drawn after charging.
+    leak: f64,
+    /// Load demand drawn last.
+    demand: f64,
+    /// Usable capacity the charge clamps at.
+    capacity: f64,
+}
+
+/// The energy flows of one committed tick.
+#[derive(Debug, Clone, Copy, Default)]
+struct TickFlows {
+    harvested: f64,
+    wasted: f64,
+    supplied: f64,
+}
+
+impl TickConstants {
+    #[inline]
+    fn new(capacitor: &Supercap, input_power: Watts, load: Watts, dt: SimDuration) -> Self {
+        let secs = dt.as_seconds();
+        TickConstants {
+            offered: (input_power * secs).value(),
+            leak: (capacitor.config().leakage * secs).value(),
+            demand: (load * secs).value(),
+            capacity: capacitor.capacity().value(),
+        }
     }
-    // Bounded above before the cast; both ratios are non-negative here.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let ticks = bound.min(9.0e18) as u64;
-    ticks.saturating_sub(MARGIN)
+
+    /// The energy tick: `Supercap::charge(offered)`, then
+    /// `discharge(leak)` when there is leakage, then `discharge(demand)`,
+    /// on a raw `f64` — every clamp included. This is the only copy of
+    /// that arithmetic; the reference step, the sprint's scalar ticks
+    /// and the vigilant tail all run it, and the capacitor's own methods
+    /// stay as its test oracle.
+    #[inline(always)]
+    fn tick(&self, energy: &mut f64) -> TickFlows {
+        let headroom = (self.capacity - *energy).max(0.0);
+        let harvested = self.offered.min(headroom);
+        *energy += harvested;
+        let wasted = self.offered - harvested;
+        if self.leak > 0.0 {
+            let leaked = self.leak.min(*energy);
+            *energy -= leaked;
+            if *energy < 0.0 {
+                *energy = 0.0;
+            }
+        }
+        let supplied = self.demand.min(*energy);
+        *energy -= supplied;
+        if *energy < 0.0 {
+            *energy = 0.0;
+        }
+        TickFlows {
+            harvested,
+            wasted,
+            supplied,
+        }
+    }
+
+    /// Whether a tick that supplied `supplied` browned out: the load's
+    /// demand was not fully met.
+    #[inline(always)]
+    fn browned_out(&self, supplied: f64) -> bool {
+        supplied + 1e-18 < self.demand
+    }
+
+    /// Conservative count of upcoming ticks during which the capacitor
+    /// provably neither fills (`charge` would clamp) nor runs low enough
+    /// for the leak/load draws to clamp, starting from `energy` stored
+    /// joules.
+    ///
+    /// Uses the same worst-case rate reasoning as `sprint_bound`: energy
+    /// rises at most `offered` and falls at most `leak + demand` per
+    /// tick, and a multiplicative haircut plus a fixed margin absorb f64
+    /// rounding drift. Within the returned prefix every tick satisfies
+    /// `offered < headroom` and `leak + demand < energy-after-charge`,
+    /// so `harvested == offered`, `wasted == +0.0`, and
+    /// `supplied == demand` bit-exactly.
+    fn clamp_free_ticks(&self, energy: f64) -> u64 {
+        const HAIRCUT: f64 = 1.0 - 1e-6;
+        const MARGIN: u64 = 8;
+        let dec = self.leak + self.demand;
+        let up = if self.offered <= 0.0 {
+            f64::INFINITY
+        } else {
+            (self.capacity * HAIRCUT - energy) / self.offered
+        };
+        let down = if dec <= 0.0 {
+            f64::INFINITY
+        } else {
+            (energy * HAIRCUT - dec) / dec
+        };
+        let bound = up.min(down);
+        // NaN-safe: a NaN bound (0/0 corner) must also yield an empty sprint.
+        if bound.is_nan() || bound <= 0.0 {
+            return 0;
+        }
+        // Bounded above before the cast; both ratios are non-negative here.
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let ticks = bound.min(9.0e18) as u64;
+        ticks.saturating_sub(MARGIN)
+    }
+}
+
+/// The stored energy and the running sums a tick loop updates — the
+/// power system's three lifetime totals and the caller's two span
+/// accumulators — held in `f64` locals for the loop's duration.
+struct Ledger {
+    energy: f64,
+    total_h: f64,
+    total_w: f64,
+    total_s: f64,
+    acc_h: f64,
+    acc_w: f64,
+}
+
+impl Ledger {
+    #[inline(always)]
+    fn load(sys: &PowerSystem, harvested_acc: Joules, wasted_acc: Joules) -> Ledger {
+        Ledger {
+            energy: sys.capacitor.energy().value(),
+            total_h: sys.total_harvested.value(),
+            total_w: sys.total_wasted.value(),
+            total_s: sys.total_supplied.value(),
+            acc_h: harvested_acc.value(),
+            acc_w: wasted_acc.value(),
+        }
+    }
+
+    /// Writes the energy and totals back to `sys`; returns the span
+    /// accumulators (harvested, wasted).
+    #[inline(always)]
+    fn store(self, sys: &mut PowerSystem) -> (Joules, Joules) {
+        sys.capacitor.set_energy_raw(Joules(self.energy));
+        sys.total_harvested = Joules(self.total_h);
+        sys.total_wasted = Joules(self.total_w);
+        sys.total_supplied = Joules(self.total_s);
+        (Joules(self.acc_h), Joules(self.acc_w))
+    }
+
+    /// Adds one tick's flows to every running sum.
+    #[inline(always)]
+    fn commit(&mut self, flows: TickFlows) {
+        self.total_h += flows.harvested;
+        self.total_w += flows.wasted;
+        self.total_s += flows.supplied;
+        self.acc_h += flows.harvested;
+        self.acc_w += flows.wasted;
+    }
+
+    /// Runs and commits one kernel tick.
+    #[inline(always)]
+    fn tick(&mut self, k: &TickConstants) -> TickFlows {
+        let flows = k.tick(&mut self.energy);
+        self.commit(flows);
+        flows
+    }
+
+    /// Runs `n` consecutive [`PowerSystem::step`]-equivalent ticks on
+    /// the hoisted constants. Scalar ticks run the tick kernel, so the
+    /// result is bit-identical to stepping — pinned by the
+    /// `advance_is_bit_identical_to_stepping` proptest. This loop is
+    /// where the fast-forward engine's throughput comes from: the full
+    /// `step` path re-derives the harvester output, offered energy, and
+    /// capacity every tick, which dominates a quiescent tick's cost.
+    ///
+    /// Callers must only request ticks proven not to need a stop check
+    /// (see [`PowerSystem::advance`]'s sprint bound): the loop commits
+    /// all `n` ticks unconditionally.
+    fn sprint(&mut self, k: &TickConstants, n: u64, mut prof: Option<&mut PhaseProfiler>) {
+        // `energy` is finite and non-negative, so a NaN bit pattern can
+        // never collide with a real start-of-tick value.
+        let mut prev_start = u64::MAX;
+        let mut last = TickFlows::default();
+        let mut i = 0;
+        while i < n {
+            // Clamp-free block: while the capacitor provably neither
+            // fills nor empties, the clamps and the `+= 0.0` wasted
+            // additions can be elided wholesale. The first tick of every
+            // sprint stays on the scalar path (`i >= 1`) so the period-1
+            // fixed-point detector keeps its chance to arm.
+            if i >= 1 {
+                let block = k.clamp_free_ticks(self.energy).min(n - i);
+                if block >= CLAMP_FREE_MIN {
+                    self.clamp_free(k, block);
+                    i += block;
+                    // The fixed-point detector must re-arm from scratch:
+                    // `last` no longer describes the previous tick.
+                    prev_start = u64::MAX;
+                    continue;
+                }
+            }
+            // Period-1 fixed-point detection: when a tick starts from
+            // the exact energy bits the previous tick started from, the
+            // whole tick repeats verbatim (every per-tick quantity is a
+            // pure function of the start energy and the hoisted
+            // constants). The capacitor pinned full under sun and
+            // pinned empty in the dark both reach this cycle within two
+            // ticks; replaying the constant increments drops the serial
+            // energy dependency chain from the loop.
+            let start = self.energy.to_bits();
+            if start == prev_start {
+                let t0 = prof.as_ref().and_then(|p| p.begin());
+                for _ in i..n {
+                    self.commit(last);
+                }
+                if let Some(p) = prof.as_deref_mut() {
+                    p.end(Phase::Replay, t0);
+                }
+                break;
+            }
+            prev_start = start;
+            last = self.tick(k);
+            i += 1;
+        }
+    }
+
+    /// Commits `n` ticks proven clamp-free by
+    /// [`TickConstants::clamp_free_ticks`], where every tick harvests
+    /// `offered`, wastes `+0.0` and supplies `demand`.
+    #[inline(always)]
+    fn clamp_free(&mut self, k: &TickConstants, n: u64) {
+        // `x + 0.0 == x` bitwise for every x except -0.0; normalize the
+        // wasted sums once so skipping their per-tick `+= +0.0` is exact.
+        if self.total_w.to_bits() == NEG_ZERO_BITS {
+            self.total_w += 0.0;
+        }
+        if self.acc_w.to_bits() == NEG_ZERO_BITS {
+            self.acc_w += 0.0;
+        }
+        if k.leak > 0.0 {
+            for _ in 0..n {
+                self.energy += k.offered;
+                self.energy -= k.leak;
+                self.energy -= k.demand;
+                self.total_h += k.offered;
+                self.total_s += k.demand;
+                self.acc_h += k.offered;
+            }
+        } else {
+            for _ in 0..n {
+                self.energy += k.offered;
+                self.energy -= k.demand;
+                self.total_h += k.offered;
+                self.total_s += k.demand;
+                self.acc_h += k.offered;
+            }
+        }
+    }
 }
 
 /// Mutable state of a [`PowerSystem`], as captured by
@@ -1118,6 +1110,103 @@ mod tests {
         assert_eq!(fw.value().to_bits(), sw.value().to_bits());
         assert_eq!(fh.value().to_bits(), sh.value().to_bits());
         assert_bit_identical(&fast, &slow);
+    }
+
+    /// Picks a value next to a clamp: `random` (a free value),
+    /// `edge` exactly, or `edge` one ulp below/above.
+    fn near(edge: f64, random: f64, which: u8) -> f64 {
+        match which {
+            0 => 0.0,
+            1 => random,
+            2 => edge.next_down().max(0.0),
+            3 => edge,
+            _ => edge.next_up(),
+        }
+    }
+
+    proptest! {
+        // Cheap cases; enough of them to visit every clamp combination.
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The tick kernel against the capacitor's own methods, bit for
+        /// bit: `charge(offered)`, `discharge(leak)` when leaking, then
+        /// `discharge(demand)`, with the lifetime totals and span
+        /// accumulators added in `Joules`. Every operand is steered to
+        /// either side of the clamp it meets.
+        #[test]
+        fn tick_kernel_matches_supercap_methods(
+            e_pick in 0u8..7,
+            e_frac in 0.0f64..1.0,
+            offered_pick in 0u8..5,
+            leak_pick in 0u8..5,
+            demand_pick in 0u8..5,
+            randoms in (0.0f64..0.2, 0.0f64..1e-3, 0.0f64..0.2),
+            ledger_pick in 0u8..3,
+        ) {
+            let mut cap = Supercap::new(SupercapConfig::default()).unwrap();
+            let capacity = cap.capacity().value();
+            let energy = match e_pick {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::from_bits(1),
+                3 => capacity.next_down(),
+                4 => capacity,
+                5 => capacity.next_up(),
+                _ => e_frac * capacity,
+            };
+            cap.set_energy_raw(Joules(energy));
+            // Steer each operand at the clamp it meets, reading the
+            // oracle's energy just before that operation.
+            let (r_offered, r_leak, r_demand) = randoms;
+            let mut probe = cap.clone();
+            let offered = near(probe.headroom().value(), r_offered, offered_pick);
+            probe.charge(Joules(offered));
+            let leak = near(probe.energy().value(), r_leak, leak_pick);
+            if leak > 0.0 {
+                probe.discharge(Joules(leak));
+            }
+            let demand = near(probe.energy().value(), r_demand, demand_pick);
+            let start = match ledger_pick {
+                0 => -0.0,
+                1 => 0.0,
+                _ => r_offered,
+            };
+
+            // Oracle.
+            let harvested = cap.charge(Joules(offered));
+            let wasted = Joules(offered) - harvested;
+            if leak > 0.0 {
+                cap.discharge(Joules(leak));
+            }
+            let supplied = cap.discharge(Joules(demand));
+            let brownout = supplied.value() + 1e-18 < demand;
+            let mut sums = [Joules(start); 5];
+            for (sum, flow) in sums.iter_mut().zip([harvested, wasted, supplied, harvested, wasted]) {
+                *sum += flow;
+            }
+
+            // Kernel.
+            let k = TickConstants { offered, leak, demand, capacity };
+            let mut ledger = Ledger {
+                energy,
+                total_h: start,
+                total_w: start,
+                total_s: start,
+                acc_h: start,
+                acc_w: start,
+            };
+            let flows = ledger.tick(&k);
+
+            prop_assert_eq!(ledger.energy.to_bits(), cap.energy().value().to_bits());
+            prop_assert_eq!(flows.harvested.to_bits(), harvested.value().to_bits());
+            prop_assert_eq!(flows.wasted.to_bits(), wasted.value().to_bits());
+            prop_assert_eq!(flows.supplied.to_bits(), supplied.value().to_bits());
+            prop_assert_eq!(k.browned_out(flows.supplied), brownout);
+            let got = [ledger.total_h, ledger.total_w, ledger.total_s, ledger.acc_h, ledger.acc_w];
+            for (g, want) in got.iter().zip(sums) {
+                prop_assert_eq!(g.to_bits(), want.value().to_bits());
+            }
+        }
     }
 
     proptest! {

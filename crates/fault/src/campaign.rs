@@ -326,7 +326,7 @@ impl FaultReport {
                     viol,
                     "{{\"invariant\": \"{}\", \"detail\": \"{}\"}}{vcomma}",
                     v.invariant,
-                    json_escape(&v.detail)
+                    qz_types::json::escape(&v.detail)
                 );
             }
             let _ = writeln!(
@@ -393,23 +393,6 @@ impl FaultReport {
         );
         s
     }
-}
-
-/// Minimal JSON string escaping for violation details.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The single-line `qz fault` command reproducing global campaign

@@ -81,12 +81,12 @@ impl HorizonCause {
     pub fn hint(self) -> Option<&'static str> {
         match self {
             HorizonCause::FaultCollapse => Some(
-                "an installed fault injector consults the adversary every tick by design; the \
-                 batched busy-tick kernel hoists everything else per block",
+                "an installed fault injector consults the adversary every tick by design; its \
+                 ticks run in blocks that hoist the due checks and the harvester conversion",
             ),
             HorizonCause::BusyScheduler => Some(
-                "scheduler runs every tick while inputs queue; the batched busy-tick kernel \
-                 amortizes per-tick dispatch here (see the busy-kernel line below)",
+                "scheduler runs every tick while inputs queue; each such tick is a single \
+                 reference tick, since the scheduler usually starts a job on the first one",
             ),
             HorizonCause::CaptureBoundary => {
                 Some("tiny capture periods collapse the horizon — see qz-check QZ070")
@@ -130,15 +130,15 @@ pub struct CauseStat {
 #[derive(Debug, Clone)]
 pub struct HorizonStats {
     cells: [CauseStat; HorizonCause::COUNT],
-    /// Batched busy-tick blocks committed (runs of reference-semantics
-    /// ticks executed under per-block hoisted invariants).
+    /// Fault-collapse blocks committed (runs of reference ticks
+    /// executed under per-block hoisted due checks).
     busy_blocks: u64,
     /// Reference ticks executed inside those blocks.
     busy_block_ticks: u64,
     /// Distribution of per-block occupancy (committed ticks per block).
     block_hist: Log2Histogram,
-    /// Busy reference ticks that could not extend into a block (a
-    /// one-off boundary event: capture, telemetry, countdown expiry).
+    /// Busy reference ticks that ran outside any block (every busy
+    /// tick without an installed fault injector).
     busy_tail_ticks: u64,
 }
 
@@ -165,8 +165,8 @@ impl HorizonStats {
         }
     }
 
-    /// Records one batched busy-tick block of `ticks` reference-
-    /// semantics ticks attributed to `cause` (they still count as
+    /// Records one fault-collapse block of `ticks` reference ticks
+    /// attributed to `cause` (they still count as
     /// forced reference ticks in the cause ranking — the block only
     /// changes how cheaply they executed, not why they were forced).
     pub fn record_busy_block(&mut self, cause: HorizonCause, ticks: u64) {
@@ -182,7 +182,7 @@ impl HorizonStats {
         self.busy_tail_ticks += 1;
     }
 
-    /// Batched busy-tick blocks committed so far.
+    /// Fault-collapse blocks committed so far.
     pub fn busy_blocks(&self) -> u64 {
         self.busy_blocks
     }
@@ -420,8 +420,8 @@ mod tests {
     #[test]
     fn busy_kernel_line_reports_blocks_and_tail() {
         let mut h = HorizonStats::new();
-        h.record_busy_block(HorizonCause::BusyScheduler, 64);
-        h.record_busy_block(HorizonCause::BusyScheduler, 64);
+        h.record_busy_block(HorizonCause::FaultCollapse, 64);
+        h.record_busy_block(HorizonCause::FaultCollapse, 64);
         h.record_busy_tail(HorizonCause::CaptureBoundary);
         assert_eq!(h.total_ref_ticks(), 129);
         assert_eq!(h.busy_blocks(), 2);

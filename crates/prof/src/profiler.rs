@@ -53,13 +53,12 @@ pub enum Phase {
     /// Restoring a simulation from a snapshot
     /// (`Simulation::restore_state`).
     SnapRestore,
-    /// One batched busy-tick block (`Simulation::busy_block`): a run of
-    /// reference-semantics ticks executed with per-block hoisted
-    /// invariants (solar segment, emission due-ness, prepared power
-    /// step).
+    /// One fault-collapse block (`Simulation::busy_block`): a run of
+    /// reference ticks under an installed fault injector, with per-block
+    /// hoisted solar segment, emission due-ness, and harvester output.
     BusyBlock,
-    /// A single busy reference tick that could not extend into a block
-    /// (a boundary event: capture, telemetry, countdown expiry).
+    /// A single busy reference tick outside any block (a boundary
+    /// event, or the scheduler running while inputs queue).
     BusyTail,
 }
 

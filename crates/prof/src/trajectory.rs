@@ -778,9 +778,9 @@ mod tests {
         assert_eq!(strings.len(), 1 + 8 + 64 + 512 + 4096);
         for s in &strings {
             let mut doc = String::from("{\"");
-            crate::flight::json_escape_into(&mut doc, s);
+            qz_types::json::escape_into(&mut doc, s);
             doc.push_str("\":\"");
-            crate::flight::json_escape_into(&mut doc, s);
+            qz_types::json::escape_into(&mut doc, s);
             doc.push_str("\"}");
             let parsed = Json::parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
             let (key, value) = &parsed.as_obj().unwrap()[0];

@@ -86,13 +86,23 @@ struct ActiveJob {
     tx_wait: bool,
 }
 
-/// Block size of the batched busy-tick kernel: runs of busy ticks in
-/// repeating regimes (installed fault injector, scheduler-every-tick
-/// crowds) execute in fixed blocks of up to this many ticks with the
-/// per-tick invariants hoisted into a per-block prologue. Observables
+/// Block size of the fault-collapse block: while a fault injector is
+/// installed, busy ticks run in blocks of up to this many ticks with the
+/// per-tick due checks hoisted into a per-block prologue. Observables
 /// stay byte-identical to the reference loop; see
 /// [`Simulation::busy_block`].
 const BUSY_BLOCK_TICKS: u64 = 64;
+
+/// Which periodic boundaries fall due on one tick.
+#[derive(Debug, Clone, Copy, Default)]
+struct TickDue {
+    /// A capture boundary inside the event period.
+    capture: bool,
+    /// A telemetry-recorder sample.
+    recorder: bool,
+    /// An observer snapshot.
+    snapshot: bool,
+}
 
 /// One simulated device run: environment + power system + runtime +
 /// application pipeline.
@@ -756,7 +766,7 @@ impl<'a> Simulation<'a> {
 
     /// Advances the simulation. Under [`EngineKind::Tick`] this is
     /// exactly one 1 ms tick; under [`EngineKind::FastForward`] it is
-    /// one tick, one batched block of busy ticks, *or* one
+    /// one tick, one block of fault-collapsed ticks, *or* one
     /// bulk-advanced quiescent span — every observable (metrics,
     /// telemetry, observer events) is identical in all three cases.
     /// Returns `false` once the simulation has finished (events over,
@@ -795,9 +805,9 @@ impl<'a> Simulation<'a> {
                     self.advance_span(span);
                     self.prof.end(Phase::SpanAdvance, t0);
                 } else {
-                    // Busy ticks batch too, but blocks never cross
-                    // `limit`: the barrier sees the same intermediate
-                    // state the tick engine would expose.
+                    // Fault-collapse blocks never cross `limit` either:
+                    // the barrier sees the same intermediate state the
+                    // tick engine would expose.
                     let remaining = limit.as_millis() - self.now.as_millis();
                     self.busy_ticks(cause, remaining);
                 }
@@ -1025,6 +1035,30 @@ impl<'a> Simulation<'a> {
     fn step_tick_inner(&mut self) -> bool {
         let t = self.now;
         let irr = self.env.solar().irradiance(t);
+        self.tick_body(irr, self.power.input_power(irr), self.due_at(t))
+    }
+
+    /// The periodic boundaries that fall due on tick `t`.
+    fn due_at(&self, t: SimTime) -> TickDue {
+        TickDue {
+            capture: t < self.events_end && (t % self.cfg.device.capture_period).is_zero(),
+            recorder: self
+                .recorder
+                .as_ref()
+                .is_some_and(|rec| (t % rec.interval).is_zero()),
+            snapshot: self.runtime.observing() && (t % self.snapshot_every).is_zero(),
+        }
+    }
+
+    /// The one reference tick at `now`: every engine path that runs ticks
+    /// one by one (the tick engine, busy tails, fault-collapse blocks)
+    /// calls this, so they cannot diverge. Callers decide only which
+    /// boundaries are `due` this tick and the irradiance; `input_power`
+    /// must be the harvester's output at `irr`. Returns `false` once
+    /// the run has finished.
+    #[inline(always)]
+    fn tick_body(&mut self, irr: f64, input_power: Watts, due: TickDue) -> bool {
+        let t = self.now;
         // Stamp every event emitted this tick (runtime- and sim-side)
         // with the current device time.
         self.runtime.set_time_ms(t.as_millis());
@@ -1037,7 +1071,7 @@ impl<'a> Simulation<'a> {
         //    1 FPS regardless of the main pipeline's state), so it runs
         //    even while the main MCU recharges: its energy is drawn
         //    directly and it never occupies MCU time.
-        if t < self.events_end && (t % self.cfg.device.capture_period).is_zero() {
+        if due.capture {
             self.on_capture_boundary(t);
         }
 
@@ -1048,7 +1082,9 @@ impl<'a> Simulation<'a> {
         };
 
         // 3. Energy flow.
-        let out = self.power.step(irr, load, SimDuration::TICK);
+        let out = self
+            .power
+            .step_prepared(input_power, load, SimDuration::TICK);
         self.metrics.energy_harvested += out.harvested;
         self.metrics.energy_wasted += out.wasted;
 
@@ -1061,13 +1097,8 @@ impl<'a> Simulation<'a> {
 
         // One sample serves both telemetry consumers: the legacy
         // recorder and the observer's Snapshot events.
-        let recorder_due = self
-            .recorder
-            .as_ref()
-            .is_some_and(|rec| (t % rec.interval).is_zero());
-        let snapshot_due = self.runtime.observing() && (t % self.snapshot_every).is_zero();
-        if recorder_due || snapshot_due {
-            self.emit_samples(t, irr, recorder_due, snapshot_due);
+        if due.recorder || due.snapshot {
+            self.emit_samples(t, irr, due.recorder, due.snapshot);
         }
 
         // 4b. Fault hooks: let the adversary observe the tick and decide
@@ -1095,8 +1126,6 @@ impl<'a> Simulation<'a> {
 
     /// Builds this tick's telemetry sample and routes it to the
     /// due consumers (observer `Snapshot` event, legacy recorder).
-    /// Shared verbatim by the reference tick and the busy-block kernel
-    /// so the emitted bytes cannot diverge between them.
     fn emit_samples(&mut self, t: SimTime, irr: f64, recorder_due: bool, snapshot_due: bool) {
         let t_obs = self.prof.begin();
         let sample = TelemetrySample {
@@ -1143,8 +1172,7 @@ impl<'a> Simulation<'a> {
 
     /// The reference tick's power-state transition and work-progress
     /// step (step 5): forced failures, natural failures, restores, and
-    /// job/scheduler progress. Shared verbatim by the reference tick
-    /// and the busy-block kernel.
+    /// job/scheduler progress.
     fn tick_transitions(&mut self, t: SimTime, irr: f64, brownout: bool, forced_failure: bool) {
         if forced_failure {
             // Adversarial brownout: drain stored energy down to the
@@ -1190,25 +1218,18 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Dispatches a run of busy (non-quiescent) ticks: repeating busy
-    /// regimes — an installed fault injector, the scheduler-every-tick
-    /// crowd — enter the batched [`Simulation::busy_block`] kernel;
-    /// one-off boundary events (capture, telemetry, countdown expiry)
-    /// run a single reference tick, the busy *tail*. Both paths execute
-    /// reference-loop semantics tick for tick; only the dispatch cost
-    /// and the profiler attribution differ.
+    /// Dispatches a run of busy (non-quiescent) ticks: an installed
+    /// fault injector collapses the horizon for as long as it stays
+    /// installed, so those ticks run in [`Simulation::busy_block`]s;
+    /// every other busy tick (a capture, telemetry or countdown
+    /// boundary, the scheduler running while inputs queue) is a single
+    /// reference tick, the busy *tail*. Both paths run
+    /// [`Simulation::tick_body`]; only the dispatch cost and the
+    /// profiler attribution differ.
     fn busy_ticks(&mut self, cause: HorizonCause, limit_ticks: u64) -> bool {
-        let blockable = matches!(
-            cause,
-            HorizonCause::FaultCollapse | HorizonCause::BusyScheduler
-        );
-        if blockable && limit_ticks > 1 {
+        if cause == HorizonCause::FaultCollapse && limit_ticks > 1 {
             let t0 = self.prof.begin();
-            let (ticks, alive) = if self.fault.is_some() {
-                self.busy_block::<true>(limit_ticks)
-            } else {
-                self.busy_block::<false>(limit_ticks)
-            };
+            let (ticks, alive) = self.busy_block(limit_ticks);
             self.prof.end(Phase::BusyBlock, t0);
             self.horizon_stats.record_busy_block(cause, ticks);
             alive
@@ -1221,101 +1242,44 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// The batched busy-tick kernel: executes up to
-    /// [`BUSY_BLOCK_TICKS`] consecutive reference-semantics ticks with
-    /// the per-tick invariants hoisted into a per-block prologue. The
-    /// prologue precomputes when the next capture boundary, telemetry
-    /// sample, or observer snapshot falls due and ends the block just
-    /// before it (a boundary due *now* runs inside the first tick,
-    /// exactly like the reference loop), pins the solar segment so the
-    /// harvester conversion hoists out of the loop
-    /// ([`PowerSystem::step_prepared`]), and monomorphizes over fault
-    /// presence. Every tick then runs the same helper sequence as
-    /// [`Simulation::step_tick_inner`] on the same values, so
-    /// observables are byte-identical by construction.
-    ///
-    /// Degradation to reference is exact: any in-block event that ends
-    /// the repeating busy regime (the scheduler starts a job, the
-    /// device powers down, the buffer drains) commits the tick that
-    /// caused it and returns to the horizon planner, which re-plans
-    /// from that tick.
-    fn busy_block<const FAULT: bool>(&mut self, limit_ticks: u64) -> (u64, bool) {
+    /// Runs up to [`BUSY_BLOCK_TICKS`] consecutive fault-collapsed
+    /// ticks with the per-tick due checks hoisted into a prologue. The
+    /// prologue finds when the next capture boundary, telemetry sample,
+    /// or observer snapshot falls due and ends the block just before it
+    /// (a boundary due *now* runs inside the first tick, exactly like
+    /// the reference loop), and pins the solar segment so the harvester
+    /// conversion runs once per block. Every tick is
+    /// [`Simulation::tick_body`], so observables are byte-identical to
+    /// the reference loop by construction.
+    fn busy_block(&mut self, limit_ticks: u64) -> (u64, bool) {
         let t0 = self.now;
         let start_ms = t0.as_millis();
-        // --- Prologue: hoist per-tick due-ness into a block end. ---
         let mut end_ms = start_ms.saturating_add(BUSY_BLOCK_TICKS.min(limit_ticks));
-        let period = self.cfg.device.capture_period;
-        let first_capture = t0 < self.events_end && (t0 % period).is_zero();
         if t0 < self.events_end {
+            let period = self.cfg.device.capture_period;
             end_ms = end_ms.min(t0.tick().next_multiple_of(period).as_millis());
         }
-        let first_recorder = self
-            .recorder
-            .as_ref()
-            .is_some_and(|rec| (t0 % rec.interval).is_zero());
         if let Some(rec) = &self.recorder {
             end_ms = end_ms.min(t0.tick().next_multiple_of(rec.interval).as_millis());
         }
-        let observing = self.runtime.observing();
-        let first_snapshot = observing && (t0 % self.snapshot_every).is_zero();
-        if observing {
+        if self.runtime.observing() {
             end_ms = end_ms.min(t0.tick().next_multiple_of(self.snapshot_every).as_millis());
         }
         end_ms = end_ms.min(self.horizon.as_millis());
-        // Solar segment: irradiance is constant across the block, so
-        // the harvester conversion runs once.
         let (irr, seg) = self.env.solar().constant_until(t0);
         end_ms = end_ms.min(start_ms.saturating_add(seg.max(1)));
         let input_power = self.power.input_power(irr);
-        // --- Block body: reference-tick semantics, hoisted checks. ---
+        // Only the first tick can sit on a boundary.
+        let mut due = self.due_at(t0);
         let mut ticks = 0;
         loop {
-            let t = self.now;
-            self.runtime.set_time_ms(t.as_millis());
-            let first = ticks == 0;
-            if first && first_capture {
-                self.on_capture_boundary(t);
-            }
-            let load = match self.state {
-                DeviceState::Off => self.cfg.device.off_leakage,
-                DeviceState::On => self.current_power(),
-            };
-            let out = self
-                .power
-                .step_prepared(input_power, load, SimDuration::TICK);
-            self.metrics.energy_harvested += out.harvested;
-            self.metrics.energy_wasted += out.wasted;
-            match self.state {
-                DeviceState::On => self.metrics.time_on += SimDuration::TICK,
-                DeviceState::Off => self.metrics.time_off += SimDuration::TICK,
-            }
-            self.metrics.occupancy_ms += self.buffer.occupancy() as u64;
-            if first && (first_recorder || first_snapshot) {
-                self.emit_samples(t, irr, first_recorder, first_snapshot);
-            }
-            let forced_failure = if FAULT { self.fault_hooks(t) } else { false };
-            self.tick_transitions(t, irr, out.brownout, forced_failure);
-            self.now = t.tick();
+            let alive = self.tick_body(irr, input_power, due);
             ticks += 1;
-            let drained =
-                self.now >= self.events_end && self.job.is_none() && self.buffer.is_idle();
-            if self.now >= self.horizon || drained {
-                self.finalize();
-                return (ticks, false);
+            if !alive || self.now.as_millis() >= end_ms {
+                return (ticks, alive);
             }
-            if self.now.as_millis() >= end_ms {
-                break;
-            }
-            let busy_scheduler =
-                self.state == DeviceState::On && self.job.is_none() && !self.buffer.is_idle();
-            if !FAULT && !busy_scheduler {
-                // The scheduler-every-tick regime ended (a job started,
-                // the device powered down, or the buffer drained):
-                // commit the prefix and re-plan from this tick.
-                break;
-            }
+            due = TickDue::default();
         }
-        (ticks, true)
     }
 
     /// Executes one capture-path firing: sense, prefilter, and (for
